@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/event"
@@ -134,5 +135,50 @@ func TestStreamerEventDeliveryAllocations(t *testing.T) {
 	}
 	if evAllocs > 20 {
 		t.Errorf("event-armed Push allocates %.0f objects/hop, budget 20", evAllocs)
+	}
+}
+
+// A streamer's live heap is its per-session state: history rings sized
+// to their readers' horizons, filter registers and small per-push
+// buffers; per-beat and per-block scratch is borrowed from the dsp pool
+// and the FIR kernel spectrum is shared. Warming 256 streamers on 20 s
+// of 50-sample pushes (the serving chunk) measured 96.8 KiB each (the
+// power-of-two rings, per-session arenas and private kernel spectra
+// before it measured 192 KiB); the budget is that plus 10%.
+func TestStreamerRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates heap usage")
+	}
+	const (
+		n        = 256
+		budgetKB = 96.8 * 1.1
+	)
+	sub, _ := physio.SubjectByID(1)
+	d := device(t, nil)
+	acq, err := d.Acquire(&sub, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	sts := make([]*Streamer, n)
+	before := live()
+	for i := range sts {
+		st := d.NewStreamer(DefaultStreamConfig())
+		for pos := 0; pos+50 <= len(acq.ECG); pos += 50 {
+			st.Push(acq.ECG[pos:pos+50], acq.Z[pos:pos+50])
+		}
+		sts[i] = st
+	}
+	after := live()
+	runtime.KeepAlive(sts)
+	perKB := float64(after-before) / n / 1024
+	t.Logf("live heap per warmed streamer: %.1f KiB", perKB)
+	if perKB > budgetKB {
+		t.Errorf("live heap per warmed streamer %.1f KiB, budget %.1f KiB", perKB, budgetKB)
 	}
 }

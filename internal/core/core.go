@@ -71,9 +71,10 @@ func DefaultConfig() Config {
 // Device is the assembled touch system. The conditioning filters of Fig 3
 // are designed once here — re-running the windowed-sinc and bilinear
 // designs on every Process call is pure waste on an MCU and dominated the
-// constant-rate allocation profile of the Go pipeline. A sync.Pool of
-// scratch arenas makes concurrent Process calls (the parallel study
-// engine) safe while keeping steady-state allocations near zero.
+// constant-rate allocation profile of the Go pipeline. Scratch comes
+// from the process-wide dsp arena pool, so concurrent Process calls (the
+// parallel study engine) are safe while steady-state allocations stay
+// near zero.
 type Device struct {
 	cfg   Config
 	touch bioimp.Instrument
@@ -89,8 +90,6 @@ type Device struct {
 	// whole bank design (windowed sinc, pole placement, bilinear
 	// transforms, chain assembly) runs at most once per rate.
 	banks sync.Map // float64 -> *filterBank
-
-	arenas sync.Pool // *dsp.Arena
 }
 
 // filterBank holds every filter the pipeline applies, designed once for
@@ -151,13 +150,6 @@ func (d *Device) bankFor(fs float64) (*filterBank, error) {
 	return actual.(*filterBank), nil
 }
 
-// getArena checks a reset scratch arena out of the device pool.
-func (d *Device) getArena() *dsp.Arena {
-	a := d.arenas.Get().(*dsp.Arena)
-	a.Reset()
-	return a
-}
-
 // Configuration errors.
 var (
 	ErrBadConfig = errors.New("core: invalid device configuration")
@@ -197,7 +189,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg.OutlierK = 4
 	}
 	d := &Device{cfg: cfg, touch: bioimp.TouchInstrument()}
-	d.arenas.New = func() any { return new(dsp.Arena) }
 	if !cfg.DisableGate {
 		gcfg := cfg.Gate
 		gcfg.FS = cfg.FS

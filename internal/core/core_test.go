@@ -338,6 +338,32 @@ func TestRAMBudgets(t *testing.T) {
 	}
 }
 
+// The RAM model is derived from the same horizons the streamer sizes its
+// rings from: every history ring of an MCU-profile streamer has a model
+// item with exactly its sample count, and every ring item has a ring.
+func TestRAMModelMatchesStreamerRings(t *testing.T) {
+	sc := DefaultStreamConfig()
+	sc.DirectFIR = true // the profile the model describes
+	st := device(t, nil).NewStreamer(sc)
+	model := map[string]int{}
+	for _, it := range StreamingRAM(250, sc).Items {
+		if it.Samples > 0 {
+			model[it.Name] = it.Samples
+		}
+	}
+	rings := streamerRings(st)
+	for name, n := range rings {
+		if m, ok := model[name]; !ok || m != n {
+			t.Errorf("ring %s holds %d samples, model item has %d (present %v)", name, n, m, ok)
+		}
+	}
+	for name := range model {
+		if _, ok := rings[name]; !ok {
+			t.Errorf("model item %s has no streamer ring", name)
+		}
+	}
+}
+
 func TestNaiveQRSDegradesUnderDrift(t *testing.T) {
 	// The ablation behind using Pan-Tompkins: on a drifting, noisy ECG
 	// the fixed-threshold detector loses beats that PT keeps.
@@ -412,4 +438,23 @@ func TestSamplingRateRobustness(t *testing.T) {
 			t.Errorf("fs=%g: PEP %.4f", fs, pep)
 		}
 	}
+}
+
+// streamerRings lists a streamer's history rings by RAM-model item.
+func streamerRings(s *Streamer) map[string]int {
+	rings := map[string]int{"z-checkpoints": s.zCk.Cap()}
+	for _, st := range s.ecgStream.stages {
+		if bl, ok := st.(*ecg.BaselineStream); ok {
+			rings["baseline-history"] = bl.RingSamples()
+		}
+	}
+	filt, raw := s.pt.RingSamples()
+	rings["qrs-history"] = filt + raw
+	rings["icg-history"] = s.delin.RingSamples()
+	if s.gate != nil {
+		rings["gate-history"] = s.gate.History().Cap()
+	} else {
+		rings["z-history"] = s.zHist.Cap()
+	}
+	return rings
 }

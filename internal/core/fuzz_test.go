@@ -55,6 +55,13 @@ func fuzzSetup() error {
 // sample and empty pushes — must produce exactly the beat stream of a
 // single whole-recording push, never panic, and leave identical
 // health/acceptance state.
+//
+// The base recordings are 8 s (2000 samples), which is too short to
+// reach the large-push defect: before pushes were split into
+// sub-chunks, a whole 2000-sample push still fit every history ring,
+// while pushes of 1900+ samples into a longer session overran them.
+// Large pushes are pinned by TestStreamingBigPushInvariance (60 s
+// recordings pushed whole and in 1900-5000 sample chunks) instead.
 func FuzzStreamerPush(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{125})
 	f.Add(uint8(1), int64(42), []byte{1, 0, 7, 250})
@@ -212,7 +219,7 @@ func FuzzDelineatorRefilterCache(f *testing.F) {
 		dCfg := defaultDetectFor(fuzzEnv.dev.cfg, fs)
 		lp, hp := fuzzEnv.dev.bank.icgLP, fuzzEnv.dev.bank.icgHP
 		run := func(legacy, chunked bool) []icg.BeatAnalysis {
-			d := icg.NewDelineator(dCfg, lp, hp, 0, icgCtxSeconds, 6)
+			d := icg.NewDelineator(dCfg, lp, hp, 0, icg.ContextSeconds, 6)
 			d.SetLegacyRefilter(legacy)
 			var out []icg.BeatAnalysis
 			if !chunked {

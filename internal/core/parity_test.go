@@ -194,3 +194,48 @@ func TestWindowStreamerStillWorks(t *testing.T) {
 		t.Errorf("window streamer latency %g", l)
 	}
 }
+
+// Big pushes obey the chunk-invariance law too: a push of any size is
+// worked one sub-chunk at a time, so the history rings, sized for their
+// readers' horizons, are never overrun. Whole 60 s recordings and
+// multi-second chunks must emit exactly the beats, health and accept
+// counts of 50-sample chunking.
+func TestStreamingBigPushInvariance(t *testing.T) {
+	d := device(t, nil)
+	for sid := 1; sid <= 3; sid++ {
+		sub, _ := physio.SubjectByID(sid)
+		acq, err := d.Acquire(&sub, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(chunk int) ([]hemo.BeatParams, StreamHealth, int) {
+			st := d.NewStreamer(DefaultStreamConfig())
+			beats := streamBeats(st, acq, chunk)
+			acc, _ := st.AcceptCounts()
+			return beats, st.Health(), acc
+		}
+		ref, refHealth, refAcc := run(50)
+		if len(ref) < 40 {
+			t.Fatalf("subject %d: only %d beats at chunk 50", sid, len(ref))
+		}
+		for _, chunk := range []int{1900, 2500, 5000, len(acq.ECG)} {
+			got, health, acc := run(chunk)
+			if len(got) != len(ref) {
+				t.Fatalf("subject %d chunk %d: %d beats, chunk 50 emits %d", sid, chunk, len(got), len(ref))
+			}
+			changed := 0
+			for i := range ref {
+				if got[i] != ref[i] {
+					changed++
+				}
+			}
+			if changed > 0 {
+				t.Errorf("subject %d chunk %d: %d of %d beats differ from chunk 50", sid, chunk, changed, len(ref))
+			}
+			if health != refHealth || acc != refAcc {
+				t.Errorf("subject %d chunk %d: health %+v accepted %d, chunk 50 %+v accepted %d",
+					sid, chunk, health, acc, refHealth, refAcc)
+			}
+		}
+	}
+}

@@ -21,9 +21,9 @@ import (
 // be priced (experiment E8).
 //
 // The filters were designed once at NewDevice, and all full-length
-// intermediates live in a pooled scratch arena, so the steady-state path
-// only heap-allocates what the Output retains. Process is safe for
-// concurrent use on one Device.
+// intermediates live in an arena borrowed from the dsp scratch pool, so
+// the steady-state path only heap-allocates what the Output retains.
+// Process is safe for concurrent use on one Device.
 func (d *Device) Process(acq *Acquisition) (*Output, error) {
 	fs := acq.FS
 	n := len(acq.ECG)
@@ -33,8 +33,8 @@ func (d *Device) Process(acq *Acquisition) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	ar := d.getArena()
-	defer d.arenas.Put(ar)
+	ar := dsp.GetArena()
+	defer dsp.PutArena(ar)
 
 	// --- ECG conditioning (the shared stage chain: morphological
 	// baseline removal then the FIR band-pass).

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"repro/internal/dsp"
+	"repro/internal/ecg"
+	"repro/internal/icg"
+)
+
 // RAM budgeting. The STM32L151 of Table I has 48 KB of RAM; a 30-second
 // two-channel acquisition at 250 Hz held as 32-bit samples already needs
 // 60 KB, so the firmware cannot process sessions in batch. The
@@ -15,10 +21,12 @@ type RAMBudget struct {
 	Items       []RAMItem
 }
 
-// RAMItem is one buffer of the working set.
+// RAMItem is one buffer of the working set. Samples is the sample
+// count of a history ring (0 for items that are not rings).
 type RAMItem struct {
-	Name  string
-	Bytes int
+	Name    string
+	Bytes   int
+	Samples int
 }
 
 // Total sums the working set.
@@ -50,20 +58,41 @@ func BatchRAM(fs, seconds float64) RAMBudget {
 }
 
 // StreamingRAM returns the working set of the incremental streaming
-// engine: no rolling windows are re-analyzed, but the detectors keep
-// bounded history rings (QRS search-back and refinement, ICG beat
-// history plus the per-beat refiltering context) whose sizes follow the
-// stream.go implementation at firmware float32 widths.
+// engine at firmware float32 widths: no rolling windows are
+// re-analyzed, but the stages keep bounded history rings, each sized
+// from its reader's horizon — the same horizon NewStreamer sizes the
+// rings from (streamHorizon), so every ring item here has exactly the
+// sample count of the ring a streamer allocates.
 //
 // The model describes the MCU deployment profile, which pins the ECG
 // band-pass to the direct recurrence (StreamConfig.DirectFIR): the
-// server-side overlap-save engine adds an FFT working set (~10 KB of
-// carry block, spectra and twiddles per stream) that buys 2x throughput
-// on wide kernels but has no place in a 48 KB budget.
+// server-side overlap-save engine adds an FFT working set (a 2 KB carry
+// block per stream, plus a kernel spectrum and a transform block shared
+// across streams) that buys 2x throughput on wide kernels but has no
+// place in a 48 KB budget. It panics if fs admits no filter design.
 func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 	const sampleBytes = 4
 	sc = sc.withDefaults()
-	sec := func(s float64) int { return int(s*fs) * sampleBytes }
+	bl := ecg.NewBaselineStream(ecg.DefaultBaseline(fs))
+	fir, err := ecg.DefaultBandPass(fs).Design()
+	if err != nil {
+		panic("core: StreamingRAM: " + err.Error())
+	}
+	pt, err := ecg.NewPTStream(ecg.DefaultPT(fs))
+	if err != nil {
+		panic("core: StreamingRAM: " + err.Error())
+	}
+	lp, hp, err := icg.DefaultFilter(fs).Design()
+	if err != nil {
+		panic("core: StreamingRAM: " + err.Error())
+	}
+	rLag := rLagFor(bl.Lookahead()+dsp.NewZeroPhaseFIRStreamDirect(fir).Lookahead(), pt.MaxLag())
+	delin := icg.NewDelineatorLag(icg.DefaultDetect(fs), lp, hp, 0, icg.ContextSeconds, sc.WindowSeconds, rLag)
+	h := newStreamHorizon(int(sc.WindowSeconds*fs), rLag, dsp.NewDerivStream(fs, -1).Lookahead()+delin.Lookahead())
+	ptFilt, ptRaw := pt.RingSamples()
+	ring := func(name string, n int) RAMItem {
+		return RAMItem{Name: name, Bytes: n * sampleBytes, Samples: n}
+	}
 	return RAMBudget{
 		Mode:        "streaming",
 		SampleBytes: sampleBytes,
@@ -71,16 +100,25 @@ func StreamingRAM(fs float64, sc StreamConfig) RAMBudget {
 			// Delay lines, monotonic deques and biquad registers of the
 			// conditioning chains and the QRS band-pass.
 			{Name: "filter-state", Bytes: 2 * 1024},
-			// Incremental Pan-Tompkins history (conditioned, band-passed,
-			// integrated) over the 6 s search-back horizon.
-			{Name: "qrs-history", Bytes: 3 * sec(6)},
-			// Raw -dZ/dt history: longest analyzable beat plus the
-			// refiltering context on both sides.
-			{Name: "icg-history", Bytes: sec(sc.WindowSeconds + 2*icgCtxSeconds)},
-			// Per-beat zero-phase refiltering scratch.
-			{Name: "refilter-scratch", Bytes: sec(3 + 2*icgCtxSeconds)},
-			// Base-impedance prefix sums for the causal Z0 estimate.
-			{Name: "z-prefix", Bytes: sec(8)},
+			// Baseline remover's raw ECG: its lookahead plus a sub-chunk.
+			ring("baseline-history", bl.RingSamples()),
+			// Pan-Tompkins band-passed history (slope checks) and
+			// conditioned history (R refinement over the search-back
+			// horizon).
+			ring("qrs-history", ptFilt+ptRaw),
+			// -dZ/dt forward-pass history: the longest beat, the
+			// low-pass guard before it and how far the feed runs past
+			// its closing R (the later of the R and the context).
+			ring("icg-history", delin.RingSamples()),
+			// The quality gate's raw-Z history: the longest beat plus
+			// how far the feed runs past its closing R when it is
+			// emitted.
+			ring("gate-history", h.gateSamples()),
+			// Base-impedance prefix checkpoints over the raw-Z window.
+			ring("z-checkpoints", h.zCkSamples()),
+			// Per-beat zero-phase refiltering window: the longest beat,
+			// the guard before it and the settling context after it.
+			{Name: "refilter-scratch", Bytes: delin.WindowSamples() * sampleBytes},
 			{Name: "beat-queue", Bytes: 512},
 		},
 	}

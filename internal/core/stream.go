@@ -84,11 +84,17 @@ type Streamer struct {
 	gov      *Governor
 	lastMode PowerMode
 
-	// Causal base-impedance estimate: cumulative sums of the raw Z
-	// channel, so each beat reports the mean impedance of the session up
-	// to its closing R peak (deterministic regardless of chunking).
-	zPrefix *dsp.Ring
-	zSum    float64
+	// Causal base-impedance estimate: each beat reports the mean raw Z
+	// of the session up to its closing R peak. zSum is the running sum;
+	// zCk keeps it at every zCkStride-th sample, and a beat's prefix sum
+	// is that checkpoint plus the raw samples after it, added in the
+	// same order, so it is bit-identical to a per-sample prefix ring at
+	// a stride-th of the memory. zHist holds the raw samples: the gate's
+	// ring when gating (it already covers every emitted beat), else the
+	// streamer's own. Horizons: see streamHorizon.
+	zHist *dsp.Ring
+	zCk   *dsp.Ring
+	zSum  float64
 
 	body hemo.BodyConstants
 	cal  hemo.Calibration
@@ -125,12 +131,12 @@ type StreamConfig struct {
 
 // DefaultStreamConfig returns the firmware defaults.
 func DefaultStreamConfig() StreamConfig {
-	return StreamConfig{WindowSeconds: 6, HopSeconds: 1, MarginSeconds: 1.5}
+	return StreamConfig{WindowSeconds: icg.MaxBeatSeconds, HopSeconds: 1, MarginSeconds: 1.5}
 }
 
 func (sc StreamConfig) withDefaults() StreamConfig {
 	if sc.WindowSeconds <= 0 {
-		sc.WindowSeconds = 6
+		sc.WindowSeconds = icg.MaxBeatSeconds
 	}
 	if sc.HopSeconds <= 0 {
 		sc.HopSeconds = 1
@@ -150,6 +156,47 @@ func defaultDetectFor(cfg Config, fs float64) icg.DetectConfig {
 	return dCfg
 }
 
+// zCkStride is the spacing of the base-impedance prefix checkpoints: a
+// beat's prefix sum re-adds at most zCkStride-1 raw samples.
+const zCkStride = 32
+
+// streamHorizon is how far back each of a streamer's readers can look,
+// derived from the stage chain it is built on. Every history ring is
+// sized from it, and the RAM model (StreamingRAM) itemizes the same
+// numbers.
+type streamHorizon struct {
+	maxBeat int // longest analyzable RR interval
+	// rLag bounds how far the raw feed can be past an R peak when the
+	// QRS detector hands that peak over (see rLagFor).
+	rLag int
+	// emitLead bounds how far the raw feed can be past a beat's closing
+	// R when the beat is emitted: the later of the R arriving (rLag) and
+	// the ICG side's lookahead (derivative, alignment and settling
+	// context) arriving, plus one sub-chunk.
+	emitLead int
+}
+
+// rLagFor is the R hand-over lag: the ECG chain's lookahead, the QRS
+// detector's worst-case confirmation delay (a search-back peak, see
+// ecg.PTStream.MaxLag) and one sub-chunk.
+func rLagFor(ecgLookahead, ptMaxLag int) int { return ecgLookahead + ptMaxLag + dsp.SubChunk - 1 }
+
+func newStreamHorizon(maxBeat, rLag, icgLookahead int) streamHorizon {
+	return streamHorizon{maxBeat: maxBeat, rLag: rLag, emitLead: max(rLag, icgLookahead+dsp.SubChunk-1)}
+}
+
+// gateSamples is the raw-Z ring: a beat is scored from [rLo, rHi) when
+// it is emitted, and its base-impedance prefix re-adds the samples after
+// the last checkpoint below rHi, which the same window covers.
+func (h streamHorizon) gateSamples() int { return h.maxBeat + h.emitLead + 1 }
+
+// zHistSamples is the raw-Z ring of a streamer without a gate, which
+// serves only the prefix re-add.
+func (h streamHorizon) zHistSamples() int { return h.emitLead + zCkStride }
+
+// zCkSamples is the checkpoint ring over the raw-Z window.
+func (h streamHorizon) zCkSamples() int { return (h.emitLead+zCkStride)/zCkStride + 2 }
+
 // NewStreamer builds the incremental streaming front end for the device.
 func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 	sc = sc.withDefaults()
@@ -167,27 +214,6 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// device configuration was tampered with after construction.
 		panic("core: streaming QRS detector: " + err.Error())
 	}
-	dCfg := defaultDetectFor(d.cfg, fs)
-	var icgStream *ChainStream
-	var delin *icg.Delineator
-	if d.cfg.CausalFilters {
-		// The causal ablation conditions the stream itself: the chain's
-		// streaming form equals its batch form sample for sample.
-		icgStream = bank.icgChain.NewStream()
-		delin = icg.NewDelineator(dCfg, nil, nil, icgStream.Shift(), 0, sc.WindowSeconds)
-	} else {
-		// Zero-phase conditioning cannot be streamed causally; only the
-		// derivative runs per sample, and the delineator applies the
-		// Butterworth cascade forward-backward per beat segment with a
-		// settling context (see icg.Delineator).
-		icgStream = Chain{icgDerivStage{fs: fs}}.NewStream()
-		delin = icg.NewDelineator(dCfg, bank.icgLP, bank.icgHP, 0, icgCtxSeconds, sc.WindowSeconds)
-		delin.SetLegacyRefilter(sc.LegacyRefilter)
-	}
-	var gate *quality.GateStream
-	if d.gate != nil {
-		gate = d.gate.NewStream()
-	}
 	ecgStream := bank.ecgChain.NewStream()
 	if sc.DirectFIR && !d.cfg.CausalFilters {
 		// MCU profile / A/B baseline: same chain, FIR stage pinned to the
@@ -195,7 +221,28 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		// only the engine choice differs, never the alignment or edges.
 		ecgStream = Chain{baselineStage{cfg: bank.blCfg}, firZeroPhaseDirectStage{f: bank.ecgFIR}}.NewStream()
 	}
-	return &Streamer{
+	dCfg := defaultDetectFor(d.cfg, fs)
+	var icgStream *ChainStream
+	var lp, hp dsp.SOS
+	align, ctx := 0, 0.0
+	if d.cfg.CausalFilters {
+		// The causal ablation conditions the stream itself: the chain's
+		// streaming form equals its batch form sample for sample.
+		icgStream = bank.icgChain.NewStream()
+		align = icgStream.Shift()
+	} else {
+		// Zero-phase conditioning cannot be streamed causally; only the
+		// derivative runs per sample, and the delineator applies the
+		// Butterworth cascade forward-backward per beat segment with a
+		// settling context (see icg.Delineator).
+		icgStream = Chain{icgDerivStage{fs: fs}}.NewStream()
+		lp, hp, ctx = bank.icgLP, bank.icgHP, icg.ContextSeconds
+	}
+	rLag := rLagFor(ecgStream.Lookahead(), pt.MaxLag())
+	delin := icg.NewDelineatorLag(dCfg, lp, hp, align, ctx, sc.WindowSeconds, rLag)
+	delin.SetLegacyRefilter(sc.LegacyRefilter)
+	h := newStreamHorizon(int(sc.WindowSeconds*fs), rLag, icgStream.Lookahead()+align+delin.Lookahead())
+	s := &Streamer{
 		belowSince: -1,
 		dev:        d,
 		fs:         fs,
@@ -203,20 +250,18 @@ func (d *Device) NewStreamer(sc StreamConfig) *Streamer {
 		icgStream:  icgStream,
 		pt:         pt,
 		delin:      delin,
-		gate:       gate,
-		zPrefix:    dsp.NewRing(int(8 * fs)),
+		zCk:        dsp.NewRing(h.zCkSamples()),
 		body:       d.cfg.Body,
 		cal:        cal,
 	}
+	if d.gate != nil {
+		s.gate = d.gate.NewStreamHistory(h.gateSamples())
+		s.zHist = s.gate.History()
+	} else {
+		s.zHist = dsp.NewRing(h.zHistSamples())
+	}
+	return s
 }
-
-// icgCtxSeconds is the per-beat refiltering context. The zero-phase
-// cascade's slowest mode (the 0.5 Hz band-edge high-pass) decays by
-// ~250x over 2.5 s, which empirically makes the per-beat conditioning
-// bit-exact against the batch whole-recording filtfilt on the study
-// subjects; shorter contexts leave occasional rule-boundary flips of
-// the B/X points on single beats.
-const icgCtxSeconds = 2.5
 
 // Push appends simultaneously sampled ECG and impedance samples (equal
 // lengths) and returns the beats completed by this push, in order.
@@ -224,17 +269,40 @@ const icgCtxSeconds = 2.5
 // KindBeat events instead and Push returns nil — the two delivery paths
 // carry byte-identical parameters in identical order (the event/legacy
 // parity law).
+//
+// The stages are fed one dsp.SubChunk at a time, so the raw feed never
+// runs more than one sub-chunk ahead of the readers of the history
+// rings: every ring is sized from its reader's horizon alone, and a
+// push of any size emits exactly what the same samples pushed in small
+// chunks emit.
 func (s *Streamer) Push(ecgSamples, zSamples []float64) []hemo.BeatParams {
 	if len(ecgSamples) != len(zSamples) {
 		panic("core: Streamer.Push requires equal-length channels")
 	}
-	s.nSamples += len(zSamples)
+	var out []hemo.BeatParams
+	for {
+		n := min(len(zSamples), dsp.SubChunk)
+		out = s.push(out, ecgSamples[:n], zSamples[:n])
+		ecgSamples, zSamples = ecgSamples[n:], zSamples[n:]
+		if len(zSamples) == 0 {
+			return out
+		}
+	}
+}
+
+// push runs one sub-chunk through the stages and appends its beats.
+func (s *Streamer) push(out []hemo.BeatParams, ecgSamples, zSamples []float64) []hemo.BeatParams {
 	for _, v := range zSamples {
 		s.zSum += v
-		s.zPrefix.Push(s.zSum)
+		s.nSamples++
+		if s.nSamples%zCkStride == 0 {
+			s.zCk.Push(s.zSum)
+		}
 	}
 	if s.gate != nil {
 		s.gate.Push(zSamples)
+	} else {
+		s.zHist.Append(zSamples)
 	}
 	s.condBuf = s.ecgStream.Push(s.condBuf[:0], ecgSamples)
 	s.icgBuf = s.icgStream.Push(s.icgBuf[:0], zSamples)
@@ -245,7 +313,21 @@ func (s *Streamer) Push(ecgSamples, zSamples []float64) []hemo.BeatParams {
 		s.rHist = append(s.rHist, r)
 		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
 	}
-	return s.emit(s.beatsBuf)
+	return s.emit(out, s.beatsBuf)
+}
+
+// zPrefix returns the sum of the raw Z samples [0, end): the checkpoint
+// at or below end plus the samples after it, in push order.
+func (s *Streamer) zPrefix(end int) float64 {
+	c := end / zCkStride
+	acc, from := 0.0, 0
+	if c > 0 {
+		acc, from = s.zCk.At(c-1), c*zCkStride
+	}
+	for i := from; i < end; i++ {
+		acc += s.zHist.At(i)
+	}
+	return acc
 }
 
 // Flush ends the session: the conditioning chains drain their lookahead
@@ -263,7 +345,7 @@ func (s *Streamer) Flush() []hemo.BeatParams {
 		s.beatsBuf = s.delin.PushR(s.beatsBuf, r)
 	}
 	s.beatsBuf = s.delin.Flush(s.beatsBuf)
-	return s.emit(s.beatsBuf)
+	return s.emit(nil, s.beatsBuf)
 }
 
 // emit converts completed beat analyses into hemodynamic parameters,
@@ -277,8 +359,7 @@ func (s *Streamer) Flush() []hemo.BeatParams {
 // (floor transition), then at most one KindMode (governor flip) — all
 // stamped with the attempt index and the closing R's signal time, all
 // pure functions of the samples pushed so far.
-func (s *Streamer) emit(beats []icg.BeatAnalysis) []hemo.BeatParams {
-	var out []hemo.BeatParams
+func (s *Streamer) emit(out []hemo.BeatParams, beats []icg.BeatAnalysis) []hemo.BeatParams {
 	for i := range beats {
 		b := &beats[i]
 		rLo, rHi := s.rHist[s.beatIdx], s.rHist[s.beatIdx+1]
@@ -293,7 +374,7 @@ func (s *Streamer) emit(beats []icg.BeatAnalysis) []hemo.BeatParams {
 			continue
 		}
 		// Causal base impedance: session mean up to the closing R.
-		z0 := s.zPrefix.At(rHi-1) / float64(rHi)
+		z0 := s.zPrefix(rHi) / float64(rHi)
 		bp := hemo.FromPoints(b.Points, rHi, z0, s.fs, s.body, s.cal)
 		if s.gate != nil {
 			sqi := s.gate.PushBeat(rLo, rHi, b)
@@ -541,7 +622,10 @@ func (s *Streamer) Reset() {
 	s.beatBase = 0
 	s.timeBase = 0
 	s.belowSince = -1 // healthFloor deliberately survives Reset
-	s.zPrefix.Reset()
+	if s.gate == nil {
+		s.zHist.Reset() // the gate's Reset rewinds its ring
+	}
+	s.zCk.Reset()
 	s.zSum = 0
 	s.sink = nil // the sink and stamp are per-session; the armed
 	s.sess = 0   // governor POLICY survives, its state rewinds

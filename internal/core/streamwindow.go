@@ -26,14 +26,11 @@ type WindowStreamer struct {
 	lastEmittedR        int // absolute index of the last emitted beat's R
 	pushedTotal         int
 
+	// Each hop borrows a scratch arena from the dsp pool and reuses the
+	// device's pre-designed filter bank: re-analyzing a window every hop
+	// allocates nothing beyond the beats it emits.
 	body hemo.BodyConstants
 	cal  hemo.Calibration
-
-	// A WindowStreamer is driven from a single goroutine, so it owns its
-	// scratch arena directly and reuses the device's pre-designed filter
-	// bank: re-analyzing a window every hop allocates nothing beyond the
-	// beats it emits.
-	arena dsp.Arena
 }
 
 // NewWindowStreamer builds the window-recompute streaming front end.
@@ -109,8 +106,8 @@ func (s *WindowStreamer) analyzeWindow(last bool) []hemo.BeatParams {
 	ecgW := s.ecgBuf[:window]
 	zW := s.zBuf[:window]
 
-	ar := &s.arena
-	ar.Reset()
+	ar := dsp.GetArena()
+	defer dsp.PutArena(ar)
 	bank := s.dev.bank
 
 	cond := bank.ecgChain.Apply(ar, ecgW)

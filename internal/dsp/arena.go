@@ -1,5 +1,7 @@
 package dsp
 
+import "sync"
+
 // Arena is a checkout-style scratch allocator for the in-place DSP
 // variants (the *With functions and the FIR/SOS *To methods). Each call to
 // F64/C128/Ints hands out the next buffer in sequence, growing it to the
@@ -10,8 +12,11 @@ package dsp
 //
 // Buffers returned by an arena are valid only until the next Reset, and
 // their contents are uninitialized. An Arena is not safe for concurrent
-// use; use one arena per goroutine (core.Device keeps a sync.Pool of
-// them).
+// use; use one arena per goroutine. Work that needs scratch for a
+// bounded span — one Process call, one beat, one transform block —
+// borrows an arena from the process-wide pool (GetArena/PutArena)
+// instead of owning one, so scratch is held per goroutine at work, not
+// per session.
 //
 // All arena-taking functions in this package accept a nil *Arena, in which
 // case they allocate from the heap exactly like their classic
@@ -24,6 +29,21 @@ type Arena struct {
 	nc   int
 	ni   int
 }
+
+// arenaPool is the process-wide scratch pool. Arenas keep their grown
+// buffers across checkouts, so steady-state borrowing allocates nothing.
+var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+
+// GetArena checks a reset arena out of the process-wide pool. Return it
+// with PutArena once no buffer it handed out is referenced any more.
+func GetArena() *Arena {
+	a := arenaPool.Get().(*Arena)
+	a.Reset()
+	return a
+}
+
+// PutArena returns an arena to the process-wide pool.
+func PutArena(a *Arena) { arenaPool.Put(a) }
 
 // Reset returns every checked-out buffer to the arena. Previously returned
 // slices must no longer be used.

@@ -21,8 +21,9 @@ import "math"
 type FIR struct {
 	Taps []float64
 
-	rev []float64 // taps reversed, for the branch-free dot-product engine
-	cp  *convPlan // overlap-save state, built on first FFT-path use
+	rev []float64  // taps reversed, for the branch-free dot-product engine
+	cp  *convPlan  // overlap-save state, built on first FFT-path use
+	zp  *firKernel // zero-phase streaming kernel, shared by every stream
 }
 
 // Order returns the filter order (len(taps)-1).
@@ -48,15 +49,28 @@ func (f *FIR) plan() *convPlan {
 	return f.cp
 }
 
-// Prepare eagerly builds the cached filtering state (reversed taps and,
-// for filters wide enough to use the FFT path, the overlap-save plan).
-// Call it once at construction when the filter will be applied from a
-// steady-state hot path or shared between goroutines.
+// zeroPhase returns the cached zero-phase streaming kernel (the
+// composite h*reverse(h) and, when wide enough, its overlap-save
+// spectrum), building it on first use.
+func (f *FIR) zeroPhase() *firKernel {
+	if f.zp == nil {
+		f.zp = zeroPhaseKernel(f.Taps)
+	}
+	return f.zp
+}
+
+// Prepare eagerly builds the cached filtering state (reversed taps, the
+// overlap-save plan for filters wide enough to use the FFT path, and the
+// zero-phase streaming kernel every NewZeroPhaseFIRStream shares). Call
+// it once at construction when the filter will be applied from a
+// steady-state hot path, shared between goroutines, or streamed by many
+// sessions.
 func (f *FIR) Prepare() {
 	f.reversed()
 	if useFFTConv(1<<20, len(f.Taps)) {
 		f.plan()
 	}
+	f.zeroPhase()
 }
 
 // lowpassKernel returns an (order+1)-tap windowed-sinc low-pass kernel with

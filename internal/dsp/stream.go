@@ -28,50 +28,71 @@ import "math"
 //   - Kernels are single-stream state machines: not safe for concurrent
 //     use; use one instance per stream.
 
+// SubChunk is the largest block a history-keeping streaming stage works
+// on at once. Stages whose rings are read behind the write head (the
+// QRS detector, the baseline remover, the beat delineator, the session
+// streamer) split longer pushes into sub-chunks of at most SubChunk
+// samples, so the feed never runs more than one sub-chunk ahead of the
+// reader and a ring sized for its reader's horizon plus SubChunk holds
+// no matter how large a chunk the caller pushes.
+const SubChunk = 64
+
 // Ring retains the most recent samples of a stream, addressed by
 // absolute sample index. It backs the history-dependent streaming
-// stages (R-peak refinement, beat delineation) with O(1) memory.
+// stages (R-peak refinement, beat delineation, the quality gate) with
+// O(1) memory. A ring holds exactly the capacity it was built with:
+// each owner sizes it from its reader's horizon (how far back the
+// reader looks plus how far the feed can run ahead of it), so a ring is
+// as large as that reader needs and no larger.
 //
 // Aliasing invariant: r.buf is allocated once and never reallocated or
-// resized, so the power-of-two index masking in At/CopyTo/ArgMax always
-// lands inside the same backing array for the life of the ring; Reset
-// rewinds the logical stream without touching the storage, which is
-// what lets pooled engines hand rings across sessions while old
-// absolute indices go stale rather than dangle. Any future widening of
-// this contract — e.g. unsafe reinterpretation of the ring storage as
-// raw bytes for WAL spills — is confined to this file: it is one of the
-// two files on the unsafeguard analyzer's safelist, and the invariant
-// it would lean on (stable, never-reallocated backing array) is the one
-// stated here.
+// resized, so every physical slot computed by slot always lands inside
+// the same backing array for the life of the ring; Reset rewinds the
+// logical stream without touching the storage, which is what lets
+// pooled engines hand rings across sessions while old absolute indices
+// go stale rather than dangle. Any future widening of this contract —
+// e.g. unsafe reinterpretation of the ring storage as raw bytes for WAL
+// spills — is confined to this file: it is one of the two files on the
+// unsafeguard analyzer's safelist, and the invariant it would lean on
+// (stable, never-reallocated backing array) is the one stated here.
 type Ring struct {
 	buf  []float64
-	mask int
+	head int // physical slot of absolute index n (the next write)
 	n    int // total samples pushed
 }
 
-// NewRing returns a ring that retains at least capacity samples
-// (rounded up to a power of two).
+// NewRing returns a ring that retains exactly capacity samples (at
+// least 2).
 func NewRing(capacity int) *Ring {
 	if capacity < 2 {
 		capacity = 2
 	}
-	size := NextPow2(capacity)
-	return &Ring{buf: make([]float64, size), mask: size - 1}
+	return &Ring{buf: make([]float64, capacity)}
 }
+
+// Cap returns how many samples the ring retains.
+func (r *Ring) Cap() int { return len(r.buf) }
 
 // Push appends one sample.
 func (r *Ring) Push(v float64) {
-	r.buf[r.n&r.mask] = v
+	r.buf[r.head] = v
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
 	r.n++
 }
 
 // Append appends a chunk with at most two bulk copies per ring lap.
 func (r *Ring) Append(xs []float64) {
 	for len(xs) > 0 {
-		p := r.n & r.mask
-		n := copy(r.buf[p:], xs)
-		r.n += n
-		xs = xs[n:]
+		k := copy(r.buf[r.head:], xs)
+		r.head += k
+		if r.head == len(r.buf) {
+			r.head = 0
+		}
+		r.n += k
+		xs = xs[k:]
 	}
 }
 
@@ -87,23 +108,34 @@ func (r *Ring) Start() int {
 	return s
 }
 
+// slot maps a retained absolute index to its physical slot: i sits
+// n-i slots behind the write head, wrapping at most once.
+func (r *Ring) slot(i int) int {
+	p := r.head - (r.n - i)
+	if p < 0 {
+		p += len(r.buf)
+	}
+	return p
+}
+
 // At returns the sample at absolute index i, which must be in
 // [Start(), N()).
-func (r *Ring) At(i int) float64 { return r.buf[i&r.mask] }
+func (r *Ring) At(i int) float64 { return r.buf[r.slot(i)] }
 
 // CopyTo appends the samples of [lo, hi) to dst with at most two bulk
 // copies. The range must be retained.
 func (r *Ring) CopyTo(dst []float64, lo, hi int) []float64 {
-	for lo < hi {
-		p := lo & r.mask
-		end := p + (hi - lo)
-		if end > len(r.buf) {
-			end = len(r.buf)
-		}
-		dst = append(dst, r.buf[p:end]...)
-		lo += end - p
+	if lo >= hi {
+		return dst
 	}
-	return dst
+	p := r.slot(lo)
+	m := hi - lo
+	end := p + m
+	if end <= len(r.buf) {
+		return append(dst, r.buf[p:end]...)
+	}
+	dst = append(dst, r.buf[p:]...)
+	return append(dst, r.buf[:end-len(r.buf)]...)
 }
 
 // ArgMax returns the absolute index of the maximum over [lo, hi)
@@ -116,17 +148,22 @@ func (r *Ring) ArgMax(lo, hi int) int {
 	if lo >= hi {
 		return -1
 	}
-	best := lo
+	best, bestV := lo, r.At(lo)
+	p := r.slot(lo)
 	for i := lo + 1; i < hi; i++ {
-		if r.buf[i&r.mask] > r.buf[best&r.mask] {
-			best = i
+		p++
+		if p == len(r.buf) {
+			p = 0
+		}
+		if v := r.buf[p]; v > bestV {
+			best, bestV = i, v
 		}
 	}
 	return best
 }
 
 // Reset forgets all samples, keeping the allocation.
-func (r *Ring) Reset() { r.n = 0 }
+func (r *Ring) Reset() { r.n, r.head = 0, 0 }
 
 // FIRStream applies an FIR filter one sample at a time, carrying the
 // delay line across pushes. The alignment of the emitted outputs is
@@ -149,8 +186,8 @@ func (r *Ring) Reset() { r.n = 0 }
 // every chunking of a stream — including 1-sample pushes — produces a
 // bit-identical output sequence.
 type FIRStream struct {
-	taps []float64 // effective kernel
-	rev  []float64 // kernel reversed, for the valid-mode correlation
+	taps []float64 // effective kernel (shared, read-only)
+	rev  []float64 // kernel reversed, for the valid-mode correlation (shared)
 	hist []float64 // the last k-1 fed samples (zero-initialized)
 	work []float64 // scratch: hist ++ chunk, reused across pushes
 
@@ -166,6 +203,61 @@ type FIRStream struct {
 	os *osState // overlap-save engine for wide kernels (nil = direct)
 }
 
+// firKernel is the read-only half of a streaming FIR: the effective taps,
+// their reversal for the direct engine and, for kernels wide enough to
+// stream through overlap-save, the transformed tap spectrum. It is built
+// once per FIR (FIR.Prepare) and shared by every stream of that filter;
+// a stream owns only its delay line and carry block.
+type firKernel struct {
+	taps []float64
+	rev  []float64
+	spec *osSpectrum // nil: the direct engine only
+}
+
+// osSpectrum is the shared overlap-save kernel of one tap set.
+type osSpectrum struct {
+	fftN int          // real block length
+	half int          // fftN/2: complex transform size
+	step int          // fresh outputs per block: fftN - (k-1)
+	km1  int          // len(taps) - 1
+	h    []complex128 // tap half-spectrum, inverse normalization folded in
+	w    []complex128 // butterfly twiddles for the half-size FFT
+	wr   []complex128 // split twiddles exp(-2*pi*i*k/fftN)
+}
+
+// newFIRKernel builds the shared kernel for taps; withOS also
+// transforms them for the overlap-save engine.
+func newFIRKernel(taps []float64, withOS bool) *firKernel {
+	k := len(taps)
+	kr := &firKernel{taps: taps, rev: make([]float64, k)}
+	for i, t := range taps {
+		kr.rev[k-1-i] = t
+	}
+	if !withOS {
+		return kr
+	}
+	fftN := streamFFTSizeForTaps(k)
+	rp, _ := NewRFFTPlan(fftN) // power of two by construction
+	sp := &osSpectrum{
+		fftN: fftN,
+		half: fftN / 2,
+		step: fftN - (k - 1),
+		km1:  k - 1,
+		h:    make([]complex128, fftN/2+1),
+		w:    rp.w,
+		wr:   rp.wr,
+	}
+	padded := make([]float64, fftN)
+	copy(padded, taps)
+	rp.Forward(sp.h, padded)
+	inv := 1 / float64(sp.half)
+	for i := range sp.h {
+		sp.h[i] = scaleC(sp.h[i], inv)
+	}
+	kr.spec = sp
+	return kr
+}
+
 // osState is the streaming overlap-save engine: a carry buffer holding
 // the k-1 sample overlap followed by the pending (not yet transformed)
 // input, processed one fixed-size block at a time on an ABSOLUTE block
@@ -176,47 +268,14 @@ type FIRStream struct {
 // cumulative input count: chunk boundaries cannot perturb the stream.
 // The final partial block (run by Flush) zero-pads the unfilled tail,
 // which is exact for the outputs it emits — a causal convolution output
-// never reads past its own index.
+// never reads past its own index. The transform workspace is borrowed
+// from the scratch pool for the duration of one block.
 type osState struct {
-	fftN int          // real block length
-	half int          // fftN/2: complex transform size
-	step int          // fresh outputs per block: fftN - (k-1)
-	km1  int          // len(taps) - 1
-	h    []complex128 // tap half-spectrum, inverse normalization folded in
-	w    []complex128 // butterfly twiddles for the half-size FFT
-	wr   []complex128 // split twiddles exp(-2*pi*i*k/fftN)
-	blk  []complex128 // half-size block workspace
+	*osSpectrum
 
 	carry []float64 // fftN: [0,km1) overlap, [km1,km1+pend) pending input
 	pend  int       // pending samples not yet transformed
 	base  int       // raw output index of the next block's first output
-}
-
-// enableOS switches the stream's inner engine to overlap-save. Must be
-// called at construction time, before any samples are pushed.
-func (s *FIRStream) enableOS() {
-	k := len(s.taps)
-	fftN := streamFFTSizeForTaps(k)
-	rp, _ := NewRFFTPlan(fftN) // power of two by construction
-	o := &osState{
-		fftN:  fftN,
-		half:  fftN / 2,
-		step:  fftN - (k - 1),
-		km1:   k - 1,
-		h:     make([]complex128, fftN/2+1),
-		blk:   make([]complex128, fftN/2),
-		w:     rp.w,
-		wr:    rp.wr,
-		carry: make([]float64, fftN),
-	}
-	padded := make([]float64, fftN)
-	copy(padded, s.taps)
-	rp.Forward(o.h, padded)
-	inv := 1 / float64(o.half)
-	for i := range o.h {
-		o.h[i] = scaleC(o.h[i], inv)
-	}
-	s.os = o
 }
 
 // NewFIRStream returns the causal streaming form of f.
@@ -234,10 +293,13 @@ func NewFIRSameStream(f *FIR) *FIRStream {
 // dsp.FiltFiltFIR(f, x) exactly: the causal squared kernel delayed by
 // k-1 samples, with the batch path's odd-reflection padding synthesized
 // at the stream edges. Output t is emitted once input t+k-1 has arrived.
+// Streams share f's composite kernel and its spectrum (FIR.Prepare
+// builds them; an unprepared f builds them on first use).
 func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
-	s := newZeroPhaseFIRStream(f)
-	if useFFTStream(len(s.taps)) {
-		s.enableOS()
+	kr := f.zeroPhase()
+	s := newZeroPhaseFIRStream(kr)
+	if kr.spec != nil {
+		s.os = &osState{osSpectrum: kr.spec, carry: make([]float64, kr.spec.fftN)}
 	}
 	return s
 }
@@ -247,32 +309,36 @@ func NewZeroPhaseFIRStream(f *FIR) *FIRStream {
 // MCU deployment profile (no FFT working set, see core's RAM model) and
 // the -direct-fir A/B baseline in cmd/icgstream.
 func NewZeroPhaseFIRStreamDirect(f *FIR) *FIRStream {
-	return newZeroPhaseFIRStream(f)
+	return newZeroPhaseFIRStream(f.zeroPhase())
 }
 
-func newZeroPhaseFIRStream(f *FIR) *FIRStream {
-	h := f.Taps
+// zeroPhaseKernel builds the zero-phase composite g = h convolved with
+// reverse(h), with its overlap-save spectrum when g is wide enough.
+func zeroPhaseKernel(h []float64) *firKernel {
 	k := len(h)
-	// g = h convolved with reverse(h): the zero-phase composite kernel.
 	g := make([]float64, 2*k-1)
 	for i, a := range h {
 		for j, b := range h {
 			g[i+(k-1-j)] += a * b
 		}
 	}
-	return newFIRStream(g, 2*(k-1), k-1, k-1)
+	return newFIRKernel(g, useFFTStream(len(g)))
+}
+
+func newZeroPhaseFIRStream(kr *firKernel) *FIRStream {
+	k := (len(kr.taps) + 1) / 2 // the original tap count
+	return newFIRStreamKernel(kr, 2*(k-1), k-1, k-1)
 }
 
 func newFIRStream(taps []float64, skip, tail, reflect int) *FIRStream {
-	k := len(taps)
-	rev := make([]float64, k)
-	for i, t := range taps {
-		rev[k-1-i] = t
-	}
+	return newFIRStreamKernel(newFIRKernel(taps, false), skip, tail, reflect)
+}
+
+func newFIRStreamKernel(kr *firKernel, skip, tail, reflect int) *FIRStream {
 	s := &FIRStream{
-		taps:    taps,
-		rev:     rev,
-		hist:    make([]float64, k-1),
+		taps:    kr.taps,
+		rev:     kr.rev,
+		hist:    make([]float64, len(kr.taps)-1),
 		skip:    skip,
 		tailN:   tail,
 		reflect: reflect,
@@ -366,14 +432,6 @@ func (s *FIRStream) osRun(dst []float64, xs []float64) []float64 {
 // below the alignment skip. The carry buffer is left untouched.
 func (s *FIRStream) osBlock(dst []float64, emitN int) []float64 {
 	o := s.os
-	blk := o.blk
-	carry := o.carry
-	for c := range blk {
-		blk[c] = complex(carry[2*c], carry[2*c+1])
-	}
-	fftWith(blk, o.w)
-	mulSpectrumPacked(blk, o.h, o.wr, o.half)
-	ifftNoScale(blk, o.w)
 	lo := o.base
 	if lo < s.skip {
 		lo = s.skip
@@ -382,6 +440,16 @@ func (s *FIRStream) osBlock(dst []float64, emitN int) []float64 {
 	if cnt <= 0 {
 		return dst
 	}
+	a := GetArena()
+	defer PutArena(a)
+	blk := a.C128(o.half)
+	carry := o.carry
+	for c := range blk {
+		blk[c] = complex(carry[2*c], carry[2*c+1])
+	}
+	fftWith(blk, o.w)
+	mulSpectrumPacked(blk, o.h, o.wr, o.half)
+	ifftNoScale(blk, o.w)
 	base := len(dst)
 	if cap(dst)-base < cnt {
 		grown := make([]float64, base, base+cnt+base/2)

@@ -248,3 +248,47 @@ func TestRingBasics(t *testing.T) {
 		t.Fatalf("ArgMax=%d", m)
 	}
 }
+
+// A ring holds exactly its capacity — no power-of-two rounding — and
+// addresses every retained index correctly across the wrap, for bulk
+// appends of any size, including ones longer than the ring.
+func TestRingExactCapacityWrap(t *testing.T) {
+	const capN = 13
+	r := NewRing(capN)
+	if r.Cap() != capN {
+		t.Fatalf("Cap=%d, want %d", r.Cap(), capN)
+	}
+	next := 0
+	for _, k := range []int{5, 1, 13, 7, 30, 2, 0, 11} {
+		xs := make([]float64, k)
+		for i := range xs {
+			xs[i] = float64(next + i)
+		}
+		r.Append(xs)
+		next += k
+		if r.N() != next || r.Start() != max(0, next-capN) {
+			t.Fatalf("after %d samples: N=%d Start=%d", next, r.N(), r.Start())
+		}
+		for i := r.Start(); i < r.N(); i++ {
+			if r.At(i) != float64(i) {
+				t.Fatalf("At(%d)=%g", i, r.At(i))
+			}
+		}
+		got := r.CopyTo(nil, r.Start(), r.N())
+		for j, v := range got {
+			if v != float64(r.Start()+j) {
+				t.Fatalf("CopyTo[%d]=%g", j, v)
+			}
+		}
+		if r.N() > 0 {
+			if m := r.ArgMax(0, r.N()); m != r.N()-1 {
+				t.Fatalf("ArgMax=%d, want %d", m, r.N()-1)
+			}
+		}
+	}
+	r.Reset()
+	r.Push(42)
+	if r.N() != 1 || r.At(0) != 42 {
+		t.Fatalf("after Reset: N=%d At(0)=%g", r.N(), r.At(0))
+	}
+}

@@ -39,14 +39,14 @@ func NewBaselineStream(cfg BaselineConfig) *BaselineStream {
 	for _, st := range s.stages {
 		s.la += st.Lookahead()
 	}
-	s.raw = dsp.NewRing(s.la + baselineSubChunk + 2)
+	// The raw ring's reader is subtract, which lags the newest sample by
+	// the cascade lookahead; one sub-chunk rides on top of that.
+	s.raw = dsp.NewRing(s.la + dsp.SubChunk + 2)
 	return s
 }
 
-// baselineSubChunk bounds how many samples travel through the cascade
-// per inner iteration, so the raw-history ring stays a fixed size no
-// matter how large a chunk the caller pushes.
-const baselineSubChunk = 256
+// RingSamples returns the capacity of the raw-history ring.
+func (s *BaselineStream) RingSamples() int { return s.raw.Cap() }
 
 // Lookahead returns the total pipeline latency in samples.
 func (s *BaselineStream) Lookahead() int { return s.la }
@@ -62,8 +62,8 @@ func (s *BaselineStream) Shift() int { return 0 }
 func (s *BaselineStream) Push(dst, x []float64) []float64 {
 	for len(x) > 0 {
 		sub := x
-		if len(sub) > baselineSubChunk {
-			sub = x[:baselineSubChunk]
+		if len(sub) > dsp.SubChunk {
+			sub = x[:dsp.SubChunk]
 		}
 		x = x[len(sub):]
 		s.raw.Append(sub)
@@ -111,10 +111,12 @@ func (s *BaselineStream) Reset() {
 // PTStream is the incremental Pan-Tompkins QRS detector: the band-pass,
 // five-point derivative, squaring and moving-window integration run as
 // per-sample state machines, and the dual adaptive thresholds, T-wave
-// discrimination, search-back and R-refinement operate on short ring
-// buffers. It replicates the stages of DetectQRS on the conditioned
-// stream, so the R peaks it emits agree with the batch detector away
-// from pathological peak chains.
+// discrimination, search-back and R-refinement operate on two short
+// ring buffers (the conditioned input and the band-passed signal; the
+// integrated signal needs no history, because every candidate peak
+// carries its integrated value with it). It replicates the stages of
+// DetectQRS on the conditioned stream, so the R peaks it emits agree
+// with the batch detector away from pathological peak chains.
 //
 // R peaks are emitted exactly once, in strictly increasing order, as
 // soon as they are confirmed (accepted or recovered by search-back) and
@@ -132,12 +134,14 @@ type PTStream struct {
 	win            int
 	acc            float64
 
-	// Short histories for slope checks, refinement and search-back.
-	filt  *dsp.Ring // band-passed
-	raw   *dsp.Ring // conditioned input
-	integ *dsp.Ring // integrated
+	// Short histories. filt is read by the slope check of a peak being
+	// thresholded; raw by the R refinement of an accepted or recovered
+	// peak. Each is sized by its reader's horizon (see NewPTStream).
+	filt *dsp.Ring // band-passed
+	raw  *dsp.Ring // conditioned input
 
-	n int // samples consumed
+	n      int     // samples consumed
+	prevGi float64 // integrated value of sample n-1
 
 	// Candidate detection on the integrated signal (plateau-aware local
 	// maxima with refractory suppression, the streaming counterpart of
@@ -152,7 +156,7 @@ type PTStream struct {
 	initN            int
 	initMax, initSum float64
 	inited           bool
-	early            []int // candidates finalized before initialization
+	early            []histPeak // candidates finalized before initialization
 
 	// Adaptive threshold state.
 	spki, npki, th1 float64
@@ -200,19 +204,12 @@ func NewPTStream(cfg PTConfig) (*PTStream, error) {
 	if win < 1 {
 		win = 1
 	}
-	// Six seconds of history covers the search-back horizon (1.66x the
-	// slowest physiological RR) plus the refinement window; one extra
-	// sub-chunk absorbs the batched band-pass lookahead.
-	histN := int(6*fs) + ptSubChunk
 	s := &PTStream{
 		cfg:         cfg,
 		fs:          fs,
 		band:        dsp.NewSOSStream(sos, 0, false),
 		sqRing:      make([]float64, win),
 		win:         win,
-		filt:        dsp.NewRing(histN),
-		raw:         dsp.NewRing(histN),
-		integ:       dsp.NewRing(histN),
 		candStart:   -1,
 		initN:       int(2 * fs),
 		refractory:  int(cfg.RefractMs / 1000 * fs),
@@ -222,8 +219,37 @@ func NewPTStream(cfg PTConfig) (*PTStream, error) {
 		lastQRS:     -int(cfg.RefractMs / 1000 * fs),
 		lastRefined: -1 << 30,
 	}
+	// Both rings run up to one sub-chunk ahead of the per-sample loop.
+	// filt's reader, the slope check, runs when a peak is thresholded:
+	// one refractory period after the candidate, or at the end of the
+	// threshold initialization for candidates held until then — so it
+	// looks back at most the initialization span plus the slope radius.
+	// raw's reader, the R refinement, also serves search-back peaks,
+	// which reach back over the whole search-back horizon (MaxLag).
+	s.filt = dsp.NewRing(s.initN + s.slopeR + dsp.SubChunk)
+	s.raw = dsp.NewRing(s.MaxLag() + dsp.SubChunk)
 	return s, nil
 }
+
+// ptSearchBackSeconds is how long finalized candidate peaks stay
+// eligible for search-back: 1.66x the slowest physiological RR with
+// ample margin.
+const ptSearchBackSeconds = 6
+
+// MaxLag returns the worst-case delay, in samples, from an R peak's
+// index to the sample at which Push emits it: a peak recovered by
+// search-back can be as old as the search-back horizon, and refinement
+// can move it back by the integration window plus the refinement
+// half-width. Ordinary peaks are emitted after Lookahead samples and
+// peaks held for threshold initialization after at most the 2 s
+// initialization span, both far inside this bound.
+func (s *PTStream) MaxLag() int {
+	return int(ptSearchBackSeconds*s.fs) + s.win + s.halfRefine
+}
+
+// RingSamples returns the capacities of the band-passed and conditioned
+// history rings.
+func (s *PTStream) RingSamples() (filt, raw int) { return s.filt.Cap(), s.raw.Cap() }
 
 // Lookahead returns the worst-case confirmation delay in samples: an
 // integrated-signal peak is finalized one refractory period after it
@@ -244,8 +270,8 @@ func (s *PTStream) Push(rs []int, x []float64) []int {
 	}
 	for len(x) > 0 {
 		sub := x
-		if len(sub) > ptSubChunk {
-			sub = x[:ptSubChunk]
+		if len(sub) > dsp.SubChunk {
+			sub = x[:dsp.SubChunk]
 		}
 		x = x[len(sub):]
 		s.fbuf = s.band.Push(s.fbuf[:0], sub)
@@ -257,12 +283,6 @@ func (s *PTStream) Push(rs []int, x []float64) []int {
 	}
 	return rs
 }
-
-// ptSubChunk bounds how far the raw/filtered rings run ahead of the
-// per-sample detection loop; the rings are sized for the search-back
-// horizon plus this lookahead, so batching never overwrites history the
-// detector can still read.
-const ptSubChunk = 256
 
 // pushSample advances the per-sample detection state machines with one
 // band-passed sample f (the raw and filtered rings were already extended
@@ -289,7 +309,8 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 		den = i + 1
 	}
 	gi := s.acc / float64(den)
-	s.integ.Push(gi)
+	prev := s.prevGi
+	s.prevGi = gi
 	s.n++
 
 	// Threshold initialization statistics over the first two seconds.
@@ -301,7 +322,7 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 		if i == s.initN-1 {
 			s.initThresholds(s.initN)
 			for _, p := range s.early {
-				s.processPeak(p)
+				s.processPeak(p.idx, p.val)
 			}
 			s.early = s.early[:0]
 		}
@@ -309,7 +330,6 @@ func (s *PTStream) pushSample(rs []int, f float64) []int {
 
 	// Candidate local-max detection on the integrated signal.
 	if i >= 1 {
-		prev := s.integ.At(i - 1)
 		if s.candStart >= 0 {
 			switch {
 			case gi == s.candVal:
@@ -362,15 +382,15 @@ func (s *PTStream) finalize(idx int, val float64) {
 	s.hist = append(s.hist, histPeak{idx: idx, val: val})
 	s.prune()
 	if !s.inited {
-		s.early = append(s.early, idx)
+		s.early = append(s.early, histPeak{idx: idx, val: val})
 		return
 	}
-	s.processPeak(idx)
+	s.processPeak(idx, val)
 }
 
 // prune drops history peaks older than the search-back horizon.
 func (s *PTStream) prune() {
-	horizon := s.n - int(6*s.fs)
+	horizon := s.n - int(ptSearchBackSeconds*s.fs)
 	keep := 0
 	for keep < len(s.hist) && s.hist[keep].idx < horizon {
 		keep++
@@ -435,9 +455,9 @@ func (s *PTStream) accept(p int) {
 	s.accepted = append(s.accepted, p)
 }
 
-// processPeak replicates one iteration of the batch threshold loop.
-func (s *PTStream) processPeak(p int) {
-	pk := s.integ.At(p)
+// processPeak replicates one iteration of the batch threshold loop for
+// the candidate at p with integrated value pk.
+func (s *PTStream) processPeak(p int, pk float64) {
 	if p-s.lastQRS < s.refractory {
 		s.npki = 0.125*pk + 0.875*s.npki
 		s.th1 = s.npki + 0.25*(s.spki-s.npki)
@@ -482,7 +502,7 @@ func (s *PTStream) processPeak(p int) {
 			if best > 0 {
 				s.accepted = append(s.accepted, best)
 				s.lastQRS = best
-				s.spki = 0.25*s.integ.At(best) + 0.75*s.spki
+				s.spki = 0.25*bestV + 0.75*s.spki
 				s.SearchBack++
 			}
 		}
@@ -530,7 +550,7 @@ func (s *PTStream) Flush(rs []int) []int {
 	if !s.inited {
 		s.initThresholds(s.n)
 		for _, p := range s.early {
-			s.processPeak(p)
+			s.processPeak(p.idx, p.val)
 		}
 		s.early = s.early[:0]
 	}
@@ -547,8 +567,8 @@ func (s *PTStream) Reset() {
 	s.acc = 0
 	s.filt.Reset()
 	s.raw.Reset()
-	s.integ.Reset()
 	s.n = 0
+	s.prevGi = 0
 	s.candStart = -1
 	s.hasPending = false
 	s.initMax, s.initSum = 0, 0

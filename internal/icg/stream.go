@@ -2,6 +2,21 @@ package icg
 
 import "repro/internal/dsp"
 
+// The streaming beat horizon, shared by the delineator's callers and the
+// quality gate that scores its beats.
+const (
+	// MaxBeatSeconds is the longest RR interval the streaming engines
+	// analyze; longer beats fail.
+	MaxBeatSeconds = 6.0
+	// ContextSeconds is the per-beat refiltering context. The zero-phase
+	// cascade's slowest mode (the 0.5 Hz band-edge high-pass) decays by
+	// ~250x over 2.5 s, which empirically makes the per-beat
+	// conditioning bit-exact against the batch whole-recording filtfilt
+	// on the study subjects; shorter contexts leave occasional
+	// rule-boundary flips of the B/X points on single beats.
+	ContextSeconds = 2.5
+)
+
 // Delineator is the incremental beat delineator: it consumes the
 // streamed -dZ/dt samples and confirmed ECG R peaks as they appear, and
 // runs the characteristic-point detector on each completed RR segment
@@ -39,18 +54,23 @@ import "repro/internal/dsp"
 // biquad-samples per beat. SetLegacyRefilter restores the windowed
 // per-beat filtfilt for A/B comparison.
 type Delineator struct {
-	cfg    DetectConfig
-	lp, hp dsp.SOS
-	align  int
-	ctxN   int
-	legacy bool           // windowed per-beat hp filtfilt instead of the rolling cache
-	fwd    *dsp.SOSStream // persistent causal hp forward pass (rolling mode)
-	pad    int            // filtfilt's reflect-pad length for hp
-	warmed bool           // forward pass started (reflected prefix consumed)
-	warm   []float64      // samples buffered before the forward pass starts
+	cfg     DetectConfig
+	lp, hp  dsp.SOS
+	align   int
+	ctxN    int
+	maxBeat int            // longest analyzable RR interval (samples)
+	legacy  bool           // windowed per-beat hp filtfilt instead of the rolling cache
+	fwd     *dsp.SOSStream // persistent causal hp forward pass (rolling mode)
+	pad     int            // filtfilt's reflect-pad length for hp
+	warmed  bool           // forward pass started (reflected prefix consumed)
+	warm    []float64      // samples buffered before the forward pass starts
 
-	icg     *dsp.Ring // raw -dZ/dt, or its cached hp-forward pass in rolling mode
-	arena   dsp.Arena // per-beat refiltering scratch
+	// icg holds raw -dZ/dt, or its cached hp-forward pass in rolling
+	// mode. Its reader is drain, which copies a queued beat's window
+	// [rLo+align-back, rHi+align+ctxN) out of it; see NewDelineatorLag
+	// for the horizon. Per-beat refiltering and detection scratch is
+	// borrowed from the dsp scratch pool while a beat is worked.
+	icg     *dsp.Ring
 	pushBuf []float64 // forward-pass input scratch per push, reused
 	fltBuf  []float64 // forward-pass output scratch per push, reused
 	lastR   int       // previous confirmed R peak (ECG clock), -1 before the first
@@ -61,13 +81,27 @@ type beatJob struct {
 	rLo, rHi int
 }
 
-// NewDelineator builds a delineator. lp and hp (either may be nil) are
-// the pre-designed conditioning cascades applied zero-phase per beat;
-// ctxSeconds is the transient-settling context on each side of the
-// segment. maxBeatSeconds bounds the longest analyzable RR interval;
-// longer "beats" are reported as failures rather than stalling the
-// queue.
+// NewDelineator builds a delineator for a caller that hands each R peak
+// over within one sub-chunk of its refiltering context arriving (see
+// NewDelineatorLag). lp and hp (either may be nil) are the pre-designed
+// conditioning cascades applied zero-phase per beat; ctxSeconds is the
+// transient-settling context on each side of the segment.
+// maxBeatSeconds bounds the longest analyzable RR interval; longer
+// "beats" are reported as failures rather than stalling the queue.
 func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxBeatSeconds float64) *Delineator {
+	return NewDelineatorLag(cfg, lp, hp, align, ctxSeconds, maxBeatSeconds, 0)
+}
+
+// NewDelineatorLag is NewDelineator for a caller whose R peaks can reach
+// PushR up to rLag ICG samples late: when a beat's closing R arrives,
+// the stream may already hold samples up to rHi+align+rLag. The history
+// ring is sized from that horizon: the longest beat, plus the context
+// kept before it (the low-pass guard in rolling mode, the full context
+// otherwise), plus how far the stream can run past the closing R before
+// the beat is worked — rLag, or the trailing context plus one sub-chunk
+// when the R is on time. Every beat within maxBeatSeconds is therefore
+// analyzed from retained history, whatever the push sizes.
+func NewDelineatorLag(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxBeatSeconds float64, rLag int) *Delineator {
 	fs := cfg.FS
 	if fs <= 0 {
 		fs = 250
@@ -82,28 +116,51 @@ func NewDelineator(cfg DetectConfig, lp, hp dsp.SOS, align int, ctxSeconds, maxB
 	if lp != nil || hp != nil {
 		ctxN = int(ctxSeconds * fs)
 	}
-	n := int(maxBeatSeconds*fs) + 2*ctxN + align + 2
 	d := &Delineator{
-		cfg:   cfg,
-		lp:    lp,
-		hp:    hp,
-		align: align,
-		ctxN:  ctxN,
-		icg:   dsp.NewRing(n),
-		lastR: -1,
+		cfg:     cfg,
+		lp:      lp,
+		hp:      hp,
+		align:   align,
+		ctxN:    ctxN,
+		maxBeat: int(maxBeatSeconds * fs),
+		lastR:   -1,
 	}
 	if hp != nil {
 		d.fwd = dsp.NewSOSStream(hp, 0, true)
 		d.pad = 3 * (2*len(hp) + 1) // FiltFilt's reflect-pad formula
 	}
+	d.icg = dsp.NewRing(d.maxBeat + d.back() + max(rLag, ctxN+dsp.SubChunk) + 1)
 	return d
 }
+
+// RingSamples returns the capacity of the ICG history ring.
+func (d *Delineator) RingSamples() int { return d.icg.Cap() }
+
+// WindowSamples returns the longest window a beat is worked on: the
+// longest beat, the context kept before it and the trailing context.
+func (d *Delineator) WindowSamples() int { return d.maxBeat + d.back() + d.ctxN }
 
 // SetLegacyRefilter selects the windowed per-beat high-pass filtfilt
 // (the pre-cache engine) instead of the rolling forward-pass cache. It
 // must be called before the first PushICG: the two modes store different
-// signals in the history ring.
-func (d *Delineator) SetLegacyRefilter(on bool) { d.legacy = on }
+// signals in the history ring, and the legacy window reaches back a full
+// context before the segment, so the ring is rebuilt for that horizon.
+func (d *Delineator) SetLegacyRefilter(on bool) {
+	if on == d.legacy {
+		return
+	}
+	lead := d.icg.Cap() - d.maxBeat - d.back()
+	d.legacy = on
+	d.icg = dsp.NewRing(d.maxBeat + d.back() + lead)
+}
+
+// back is how far before a segment the worked window starts.
+func (d *Delineator) back() int {
+	if d.rolling() {
+		return lpGuardSamples(d.cfg.FS)
+	}
+	return d.ctxN
+}
 
 // rolling reports whether the forward-pass cache is active.
 func (d *Delineator) rolling() bool { return d.hp != nil && !d.legacy }
@@ -116,13 +173,26 @@ func (d *Delineator) Lookahead() int { return d.ctxN }
 // clock) and returns the beats they complete, appended to out. In
 // rolling mode each sample passes through the persistent high-pass
 // forward filter exactly once here, and the ring caches the result.
+// Long pushes are worked one dsp.SubChunk at a time, draining between
+// sub-chunks, so queued beats are worked before their history can be
+// overwritten.
 func (d *Delineator) PushICG(out []BeatAnalysis, x []float64) []BeatAnalysis {
-	if d.rolling() {
-		d.pushRolling(x, false)
-	} else {
-		d.icg.Append(x)
+	for {
+		sub := x
+		if len(sub) > dsp.SubChunk {
+			sub = x[:dsp.SubChunk]
+		}
+		x = x[len(sub):]
+		if d.rolling() {
+			d.pushRolling(sub, false)
+		} else {
+			d.icg.Append(sub)
+		}
+		out = d.drain(out, false)
+		if len(x) == 0 {
+			return out
+		}
 	}
-	return d.drain(out, false)
 }
 
 // pushRolling feeds samples through the persistent forward filter into
@@ -189,8 +259,12 @@ func (d *Delineator) Flush(out []BeatAnalysis) []BeatAnalysis {
 }
 
 // drain runs the detector on every queued RR pair whose aligned ICG
-// samples (segment plus trailing context) are available.
+// samples (segment plus trailing context) are available. Beats longer
+// than maxBeatSeconds fail without being worked: the ring is sized for
+// that horizon, so a longer beat would be analyzable or not depending
+// on how far the stream had run ahead, not on the beat itself.
 func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
+	var a *dsp.Arena // borrowed once the first beat is worked
 	done := 0
 	for _, j := range d.queue {
 		hi := j.rHi + d.align + d.ctxN
@@ -217,18 +291,22 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 		if segHi > hi {
 			segHi = hi
 		}
-		if lo < d.icg.Start() || segLo >= segHi {
-			// Beat longer than the history ring (or starved stream):
+		if j.rHi-j.rLo > d.maxBeat || lo < d.icg.Start() || segLo >= segHi {
+			// Beat longer than the horizon, history lost to an R that
+			// arrived later than the ring allows, or a starved stream:
 			// report it as unanalyzable rather than stalling the queue.
 			out = append(out, BeatAnalysis{Err: ErrBeatTooShort})
 			done++
 			continue
 		}
-		d.arena.Reset()
-		buf := d.icg.CopyTo(d.arena.F64(hi - lo)[:0], lo, hi)
-		cond, trim := d.refilter(buf, segLo-lo, segHi-lo)
+		if a == nil {
+			a = dsp.GetArena()
+		}
+		a.Reset()
+		buf := d.icg.CopyTo(a.F64(hi - lo)[:0], lo, hi)
+		cond, trim := d.refilter(a, buf, segLo-lo, segHi-lo)
 		relLo := segLo - lo - trim
-		pts, err := DetectBeatWith(&d.arena, cond, relLo, segHi-lo-trim, -1, d.cfg)
+		pts, err := DetectBeatWith(a, cond, relLo, segHi-lo-trim, -1, d.cfg)
 		if err != nil {
 			out = append(out, BeatAnalysis{Err: err})
 			done++
@@ -252,6 +330,9 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 		out = append(out, ba)
 		done++
 	}
+	if a != nil {
+		dsp.PutArena(a)
+	}
 	if done > 0 {
 		d.queue = append(d.queue[:0], d.queue[done:]...)
 	}
@@ -269,7 +350,7 @@ func (d *Delineator) drain(out []BeatAnalysis, last bool) []BeatAnalysis {
 // over just the segment plus a short guard. The order swap relative to
 // the batch lp-then-hp is exact for LTI cascades up to edge transients,
 // which both contexts absorb.
-func (d *Delineator) refilter(buf []float64, segLo, segHi int) ([]float64, int) {
+func (d *Delineator) refilter(a *dsp.Arena, buf []float64, segLo, segHi int) ([]float64, int) {
 	if d.rolling() {
 		// buf already holds the cached forward pass; only the backward
 		// pass remains. Its zi-primed transient enters at the right edge
@@ -278,7 +359,7 @@ func (d *Delineator) refilter(buf []float64, segLo, segHi int) ([]float64, int) 
 		d.hp.FilterZiInPlace(buf)
 		dsp.Reverse(buf)
 	} else if d.hp != nil {
-		buf = d.hp.FiltFiltWith(&d.arena, buf)
+		buf = d.hp.FiltFiltWith(a, buf)
 	}
 	if d.lp == nil {
 		return buf, 0
@@ -292,7 +373,7 @@ func (d *Delineator) refilter(buf []float64, segLo, segHi int) ([]float64, int) 
 	if hi > len(buf) {
 		hi = len(buf)
 	}
-	return d.lp.FiltFiltWith(&d.arena, buf[lo:hi]), lo
+	return d.lp.FiltFiltWith(a, buf[lo:hi]), lo
 }
 
 // lpGuardSamples is the low-pass settling guard (~0.3 s): dozens of
@@ -311,7 +392,6 @@ func (d *Delineator) Pending() int { return len(d.queue) }
 // Reset returns the delineator to its initial state, keeping buffers.
 func (d *Delineator) Reset() {
 	d.icg.Reset()
-	d.arena.Reset()
 	if d.fwd != nil {
 		d.fwd.Reset()
 	}

@@ -87,12 +87,6 @@ type GateConfig struct {
 	// MinMorph rejects beats whose delineator morphology score
 	// (icg.MorphScore) falls below it.
 	MinMorph float64
-
-	// HistorySamples bounds the raw-sample ring (rounded up to a power
-	// of two). It must cover the longest beat plus however far the
-	// sample feed can run ahead of beat completion (the delineator's
-	// settling context plus one push chunk).
-	HistorySamples int
 }
 
 // DefaultGate returns the gate configuration used by the device:
@@ -117,7 +111,6 @@ func DefaultGate(fs float64) GateConfig {
 		MaxFlatRun:        0.25,
 		MinSNR:            0.5,
 		MinMorph:          0.1,
-		HistorySamples:    int(16 * fs),
 	}
 }
 
@@ -160,9 +153,6 @@ func (c GateConfig) withDefaults() GateConfig {
 	if c.MinMorph == 0 {
 		c.MinMorph = d.MinMorph
 	}
-	if c.HistorySamples <= 0 {
-		c.HistorySamples = d.HistorySamples
-	}
 	c.FS = d.FS
 	return c
 }
@@ -194,13 +184,37 @@ func NewBeatGate(cfg GateConfig) *BeatGate {
 // Config returns the resolved gate configuration.
 func (g *BeatGate) Config() GateConfig { return g.cfg }
 
-// NewStream returns fresh streaming gate state.
+// NewStream returns fresh streaming gate state whose raw-sample ring is
+// sized for the delineator's on-time horizon (historySamples).
 func (g *BeatGate) NewStream() *GateStream {
+	return g.NewStreamHistory(historySamples(g.cfg.FS))
+}
+
+// NewStreamHistory returns fresh streaming gate state whose raw-sample
+// ring retains exactly history samples. A stream scores a beat from the
+// window [rLo, rHi), so history must cover the longest beat plus how far
+// the sample feed can run past a beat's closing R before the beat is
+// pushed; a beat whose window has already left the ring is rejected as
+// flat.
+func (g *BeatGate) NewStreamHistory(history int) *GateStream {
 	return &GateStream{
 		cfg:      g.cfg,
-		ring:     dsp.NewRing(g.cfg.HistorySamples),
+		ring:     dsp.NewRing(history),
 		rateEWMA: 1,
 	}
+}
+
+// historySamples is the raw-sample horizon of NewStream at sampling rate
+// fs: the longest streamed beat (icg.MaxBeatSeconds), plus the
+// delineator's trailing settling context and one sub-chunk — how far the
+// feed runs past a beat's closing R before an on-time beat completes.
+// Batch Apply feeds exactly up to each closing R and needs only the
+// longest beat.
+func historySamples(fs float64) int {
+	if fs <= 0 {
+		fs = 250
+	}
+	return int((icg.MaxBeatSeconds+icg.ContextSeconds)*fs) + dsp.SubChunk
 }
 
 // Apply gates a whole recording: it drives a fresh GateStream over the
@@ -223,9 +237,12 @@ type GateStream struct {
 	// Running session extremes over [0, cursor); the cursor advances to
 	// each beat's closing R when the beat is scored, never past it, so
 	// the rails a beat sees are a function of the beat alone, not of
-	// how far the sample feed has run ahead (chunking invariance).
-	// haveExt guards the first consumed sample — the cursor may start
-	// past 0 when the ring wrapped before the first scored beat.
+	// how far the sample feed has run ahead (chunking invariance). The
+	// one exception is a sample about to leave the ring: Push folds it
+	// in first, so no sample is ever skipped and the cursor never falls
+	// behind the ring's start. A beat whose closing R is older than such
+	// a sample has lost its window anyway and is rejected as flat.
+	// haveExt guards the first consumed sample.
 	cursor       int
 	runLo, runHi float64
 	haveExt      bool
@@ -239,13 +256,42 @@ type GateStream struct {
 	// the chunking-invariant health signal the serving layer evicts on:
 	// it advances only when a beat is pushed, never on raw samples.
 	rateEWMA float64
-
-	segBuf []float64 // per-beat scratch
 }
 
 // Push appends raw impedance samples to the gate's history. Call it
 // with every chunk, before scoring the beats the chunk completes.
-func (gs *GateStream) Push(z []float64) { gs.ring.Append(z) }
+func (gs *GateStream) Push(z []float64) {
+	n := gs.ring.N()
+	if evict := n + len(z) - gs.ring.Cap(); evict > gs.cursor {
+		for ; gs.cursor < evict && gs.cursor < n; gs.cursor++ {
+			gs.extend(gs.ring.At(gs.cursor))
+		}
+		for ; gs.cursor < evict; gs.cursor++ {
+			gs.extend(z[gs.cursor-n])
+		}
+	}
+	gs.ring.Append(z)
+}
+
+// History returns the raw-sample ring, for a caller that reads the same
+// history (the core streamer derives its base impedance from it). The
+// ring is the gate's: readers must not push to it.
+func (gs *GateStream) History() *dsp.Ring { return gs.ring }
+
+// extend folds one raw sample into the running session extremes.
+func (gs *GateStream) extend(v float64) {
+	if !gs.haveExt {
+		gs.runLo, gs.runHi = v, v
+		gs.haveExt = true
+		return
+	}
+	if v < gs.runLo {
+		gs.runLo = v
+	}
+	if v > gs.runHi {
+		gs.runHi = v
+	}
+}
 
 // PushFailed records a beat that failed delineation: it counts against
 // the acceptance rate but is not scored and does not touch the template.
@@ -277,22 +323,8 @@ func (gs *GateStream) PushBeat(rLo, rHi int, b *icg.BeatAnalysis) BeatSQI {
 	if hi := gs.ring.N(); rHi > hi {
 		rHi = hi
 	}
-	if gs.cursor < gs.ring.Start() {
-		gs.cursor = gs.ring.Start()
-	}
 	for ; gs.cursor < rHi; gs.cursor++ {
-		v := gs.ring.At(gs.cursor)
-		if !gs.haveExt {
-			gs.runLo, gs.runHi = v, v
-			gs.haveExt = true
-			continue
-		}
-		if v < gs.runLo {
-			gs.runLo = v
-		}
-		if v > gs.runHi {
-			gs.runHi = v
-		}
+		gs.extend(gs.ring.At(gs.cursor))
 	}
 	span := gs.runHi - gs.runLo
 
@@ -301,8 +333,9 @@ func (gs *GateStream) PushBeat(rLo, rHi int, b *icg.BeatAnalysis) BeatSQI {
 		// segment: unanalyzable, reject deterministically.
 		return gs.record(BeatSQI{Flat: true})
 	}
-	seg := gs.ring.CopyTo(gs.segBuf[:0], rLo, rHi)
-	gs.segBuf = seg[:0]
+	a := dsp.GetArena()
+	defer dsp.PutArena(a)
+	seg := gs.ring.CopyTo(a.F64(rHi - rLo)[:0], rLo, rHi)
 
 	sqi := BeatSQI{Morph: b.Quality, TemplateR: 1}
 

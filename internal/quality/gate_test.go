@@ -217,7 +217,7 @@ func TestGateDegenerate(t *testing.T) {
 	}
 	// Beat whose history fell out of the ring.
 	gs.Reset()
-	huge := make([]float64, gs.cfg.HistorySamples*3)
+	huge := make([]float64, gs.History().Cap()*3)
 	for i := range huge {
 		huge[i] = float64(i % 17)
 	}
@@ -235,7 +235,7 @@ func TestGateDegenerate(t *testing.T) {
 func TestGateExtremesAfterRingWrap(t *testing.T) {
 	g := NewBeatGate(DefaultGate(250))
 	gs := g.NewStream()
-	n := gs.cfg.HistorySamples * 2
+	n := gs.History().Cap() * 2
 	z := make([]float64, n)
 	for i := range z {
 		z[i] = 30 + 0.5*math.Sin(float64(i)/40) // all samples near 30 Ohm
@@ -314,7 +314,9 @@ func runRelock(t *testing.T, cfg GateConfig) (gs *GateStream, shapeB [icg.ShapeB
 		}
 	}
 	g := NewBeatGate(cfg)
-	gs = g.NewStream()
+	// The fixture pushes the whole recording before scoring the first
+	// beat, so the ring must hold all of it.
+	gs = g.NewStreamHistory(len(z))
 	gs.Push(z)
 	for b := 0; b+1 <= nBeats; b++ {
 		lo, hi := b*beatLen, (b+1)*beatLen
@@ -377,7 +379,12 @@ func TestGateConfigDefaults(t *testing.T) {
 		t.Errorf("explicit MinMorph overridden: %g", cfg.MinMorph)
 	}
 	def := DefaultGate(500)
-	if cfg.MaxSaturation != def.MaxSaturation || cfg.HistorySamples != def.HistorySamples {
+	if cfg.MaxSaturation != def.MaxSaturation || cfg.RateBeta != def.RateBeta {
 		t.Errorf("defaults not applied: %+v", cfg)
+	}
+	// The raw-sample ring is derived from the beat horizon at the
+	// configured rate, not configured.
+	if got, want := g.NewStream().History().Cap(), historySamples(500); got != want {
+		t.Errorf("stream history %d samples, want the derived %d", got, want)
 	}
 }

@@ -356,6 +356,28 @@ func TestEngineChunkInvariance(t *testing.T) {
 	}
 }
 
+// A single Session.Push of 5000 samples (20 s) is worked one
+// sub-chunk at a time by the streamer, so it hashes exactly like the
+// same samples in 50-sample pushes: no history ring is overrun by a
+// large push.
+func TestEngineBigPushInvariance(t *testing.T) {
+	dev, err := core.NewDevice(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := makeInputs(t, dev, 20)
+	if n := len(in.base[0][0]); n != 5000 {
+		t.Fatalf("base recording has %d samples, want one 5000-sample push", n)
+	}
+	a, _ := runFleet(t, dev, in, 6, 2, 50, nil)
+	b, _ := runFleet(t, dev, in, 6, 2, 5000, nil)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("session %d: chunk 50 hash %x != single-push hash %x", i, a[i], b[i])
+		}
+	}
+}
+
 // Sessions opened after others closed must reuse pooled streamer state
 // without any residue: a replayed input reproduces its hash exactly.
 func TestEnginePooledStreamerReuse(t *testing.T) {
